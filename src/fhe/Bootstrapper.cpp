@@ -337,7 +337,7 @@ StatusOr<Ciphertext> Bootstrapper::checkedBootstrap(const Ciphertext &Ct,
   // reportFatalError mid-bootstrap; the pins keep cache-served keys
   // resident for the whole refresh (eviction skips held keys), so every
   // hot-tier lookup below is a guaranteed hit. SubSum and CoeffToSlot
-  // run at the raised level, so each key must cover Raised digits.
+  // run at the raised level, so each key must cover Raised primes.
   std::vector<std::shared_ptr<const SwitchKey>> Pins;
   for (uint64_t Galois : requiredGaloisElements()) {
     Status S = Eval.materializeGaloisKey(Galois, Raised, Pins);

@@ -10,7 +10,9 @@
 
 #include "fhe/ModArith.h"
 #include "fhe/PolyBackend.h"
+#include "fhe/Security.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -33,6 +35,54 @@ bool CkksParams::valid() const {
   return true;
 }
 
+size_t ace::fhe::keySwitchDigitSize(const CkksParams &P) {
+  size_t ChainLength = static_cast<size_t>(P.NumRescaleModuli) + 1;
+  size_t Alpha = 1;
+  while (Alpha * Alpha < ChainLength)
+    ++Alpha;
+  int LogQ = P.LogFirstModulus + P.NumRescaleModuli * P.LogScale;
+  int Budget = maxLogQ(P.RingDegree, SecurityLevelKind::SL_128);
+  if (Budget > 0 && LogQ + P.LogSpecialModulus <= Budget)
+    while (Alpha > 1 &&
+           LogQ + static_cast<int>(Alpha) * P.LogSpecialModulus > Budget)
+      --Alpha;
+  return Alpha;
+}
+
+/// Conversion constants from \p Source to every modulus in \p Targets
+/// (the nttTable numbering); targets that are source primes get zeros.
+static BasisConversion makeConversion(const std::vector<uint64_t> &Source,
+                                      const std::vector<uint64_t> &Targets) {
+  BasisConversion Conv;
+  size_t K = Source.size();
+  Conv.NumSource = K;
+  for (size_t I = 0; I < K; ++I) {
+    uint64_t S = Source[I], Hat = 1;
+    for (size_t J = 0; J < K; ++J)
+      if (J != I)
+        Hat = mulMod(Hat, Source[J] % S, S);
+    uint64_t Inv = invMod(Hat, S);
+    Conv.InvHat.push_back(Inv);
+    Conv.InvHatShoup.push_back(shoupPrecompute(Inv, S));
+  }
+  Conv.Hat.assign(Targets.size() * K, 0);
+  Conv.HatShoup.assign(Targets.size() * K, 0);
+  for (size_t T = 0; T < Targets.size(); ++T) {
+    uint64_t Q = Targets[T];
+    if (std::find(Source.begin(), Source.end(), Q) != Source.end())
+      continue;
+    for (size_t I = 0; I < K; ++I) {
+      uint64_t Hat = 1;
+      for (size_t J = 0; J < K; ++J)
+        if (J != I)
+          Hat = mulMod(Hat, Source[J] % Q, Q);
+      Conv.Hat[T * K + I] = Hat;
+      Conv.HatShoup[T * K + I] = shoupPrecompute(Hat, Q);
+    }
+  }
+  return Conv;
+}
+
 Context::Context(const CkksParams &P) : Params(P) {
   assert(P.valid() && "invalid CKKS parameters");
   // Pin the poly-ops backend now (CPUID probe + ACE_POLY_BACKEND
@@ -41,9 +91,9 @@ Context::Context(const CkksParams &P) : Params(P) {
   (void)activePolyBackend();
   uint64_t TwoN = 2 * P.RingDegree;
 
-  // Build the chain: one q_0 prime, NumRescaleModuli rescale primes, one
-  // special prime. Primes of equal bit width must be distinct, so each
-  // generation round excludes everything chosen so far.
+  // Build the chain: one q_0 prime, NumRescaleModuli rescale primes,
+  // alpha special primes. Primes of equal bit width must be distinct, so
+  // each generation round excludes everything chosen so far.
   std::vector<uint64_t> Exclude;
   auto Take = [&](int Bits, size_t Count) {
     std::vector<uint64_t> Got = generateNttPrimes(Bits, TwoN, Count, Exclude);
@@ -60,14 +110,17 @@ Context::Context(const CkksParams &P) : Params(P) {
     Exclude.insert(Exclude.end(), Rescale.begin(), Rescale.end());
     QModuli.insert(QModuli.end(), Rescale.begin(), Rescale.end());
   }
-  SpecialPrime = Take(P.LogSpecialModulus, 1)[0];
+  size_t L = QModuli.size();
+  size_t Alpha = keySwitchDigitSize(P);
+  SpecialPrimes = Take(P.LogSpecialModulus, Alpha);
 
-  for (uint64_t Q : QModuli)
+  std::vector<uint64_t> AllModuli = QModuli;
+  AllModuli.insert(AllModuli.end(), SpecialPrimes.begin(),
+                   SpecialPrimes.end());
+  for (uint64_t Q : AllModuli)
     NttTables.push_back(std::make_unique<NttTable>(P.RingDegree, Q));
-  NttTables.push_back(std::make_unique<NttTable>(P.RingDegree, SpecialPrime));
 
   // Rescale precomputation: inv(q_l) mod q_j for every (l, j < l).
-  size_t L = QModuli.size();
   InvQLastModQ.resize(L);
   for (size_t Last = 0; Last < L; ++Last) {
     InvQLastModQ[Last].resize(Last);
@@ -76,9 +129,28 @@ Context::Context(const CkksParams &P) : Params(P) {
           invMod(QModuli[Last] % QModuli[J], QModuli[J]);
   }
 
+  SpecialModQ.resize(L);
   InvSpecialModQ.resize(L);
-  for (size_t J = 0; J < L; ++J)
-    InvSpecialModQ[J] = invMod(SpecialPrime % QModuli[J], QModuli[J]);
+  for (size_t J = 0; J < L; ++J) {
+    uint64_t PModQ = 1;
+    for (uint64_t Special : SpecialPrimes)
+      PModQ = mulMod(PModQ, Special % QModuli[J], QModuli[J]);
+    SpecialModQ[J] = PModQ;
+    InvSpecialModQ[J] = invMod(PModQ, QModuli[J]);
+  }
+
+  // ModUp: every prefix of every digit (the last digit of a ciphertext
+  // below the top level is partial). ModDown: the whole special basis.
+  ModUpConversions.resize(numDigits(L) * Alpha);
+  for (size_t Digit = 0, E = numDigits(L); Digit < E; ++Digit) {
+    size_t Begin = Digit * Alpha;
+    for (size_t Count = 1; Count <= Alpha && Begin + Count <= L; ++Count)
+      ModUpConversions[Digit * Alpha + Count - 1] = makeConversion(
+          std::vector<uint64_t>(QModuli.begin() + Begin,
+                                QModuli.begin() + Begin + Count),
+          AllModuli);
+  }
+  ModDownConversion = makeConversion(SpecialPrimes, QModuli);
 
   Scale = std::ldexp(1.0, P.LogScale);
 }

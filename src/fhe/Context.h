@@ -8,10 +8,11 @@
 ///
 /// \file
 /// RNS-CKKS scheme parameters and the shared Context object. A Context owns
-/// the modulus chain (q_0 .. q_{L-1} plus one key-switching special prime),
-/// the NTT tables for every modulus, and the per-level precomputations used
-/// by rescale and mod-down. Every other runtime object (polynomials, keys,
-/// evaluator, bootstrapper) references one Context.
+/// the modulus chain (q_0 .. q_{L-1} plus alpha key-switching special
+/// primes p_0 .. p_{alpha-1}), the NTT tables for every modulus, and the
+/// per-level precomputations used by rescale, ModUp and ModDown. Every
+/// other runtime object (polynomials, keys, evaluator, bootstrapper)
+/// references one Context.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +34,9 @@ namespace fhe {
 /// User-facing RNS-CKKS parameter set.
 ///
 /// The modulus chain is q_0 (LogFirstModulus bits), then NumRescaleModuli
-/// primes of LogScale bits each, then one special prime of LogSpecialModulus
-/// bits used only during key switching. The multiplicative depth budget is
+/// primes of LogScale bits each, then keySwitchDigitSize(*this) special
+/// primes of LogSpecialModulus bits each, used only during key
+/// switching. The multiplicative depth budget is
 /// NumRescaleModuli. The compiler's automatic parameter selection (paper
 /// Sec. 4.4) produces values for this struct.
 struct CkksParams {
@@ -50,7 +52,7 @@ struct CkksParams {
   int LogFirstModulus = 50;
   /// Number of rescale primes = multiplicative depth budget.
   int NumRescaleModuli = 8;
-  /// log2 of the key-switching special prime.
+  /// log2 of each key-switching special prime.
   int LogSpecialModulus = 59;
   /// Use a sparse ternary secret of Hamming weight 64 (standard practice
   /// for bootstrappable CKKS; bounds the ModRaise overflow count K).
@@ -61,6 +63,30 @@ struct CkksParams {
   /// True when the derived modulus chain is plausible (degree a power of
   /// two, slots in range, prime sizes in [20, 60]).
   bool valid() const;
+};
+
+/// Number of chain primes per hybrid key-switching digit (alpha) under
+/// \p Params: ceil(sqrt(L)) for a chain of L primes. Key switching at l
+/// active primes decomposes into ceil(l / alpha) digits of alpha
+/// consecutive chain primes (the last may be partial) over a special
+/// modulus P of alpha primes, so ModUp costs O(l * (l + alpha) / alpha)
+/// NTTs instead of O(l^2) (Han and Ki, CT-RSA 2020; docs/performance.md).
+/// A parameter set that is 128-bit secure with one special prime stays
+/// secure: alpha then shrinks until log2(QP) fits the HE-standard bound
+/// of the ring (fhe/Security.h).
+size_t keySwitchDigitSize(const CkksParams &Params);
+
+/// Fast basis conversion constants from a source basis {s_0 .. s_{k-1}}
+/// with product S: x = sum_i [x_i * (S/s_i)^{-1}]_{s_i} * (S/s_i) mod t
+/// for every target modulus t, up to a multiple of S below k * S.
+struct BasisConversion {
+  /// Number of source primes k.
+  size_t NumSource = 0;
+  /// [(S/s_i)^{-1}]_{s_i} and its Shoup companion, per source prime.
+  std::vector<uint64_t> InvHat, InvHatShoup;
+  /// [S/s_i]_t and its Shoup companion at Hat[T * NumSource + i], for
+  /// target T in Context::nttTable numbering (zero where T is a source).
+  std::vector<uint64_t> Hat, HatShoup;
 };
 
 /// Shared immutable state for one CKKS instantiation.
@@ -74,31 +100,57 @@ public:
   size_t degree() const { return Params.RingDegree; }
   size_t slots() const { return Params.Slots; }
 
-  /// Number of q-chain primes (excluding the special prime).
+  /// Number of q-chain primes (excluding the special primes).
   size_t chainLength() const { return QModuli.size(); }
 
   /// The i-th q-chain prime.
   uint64_t qModulus(size_t I) const { return QModuli[I]; }
 
-  /// The key-switching special prime P.
-  uint64_t specialModulus() const { return SpecialPrime; }
+  /// Chain primes per key-switching digit, and the number of special
+  /// primes: alpha = keySwitchDigitSize(params()).
+  size_t digitSize() const { return SpecialPrimes.size(); }
+
+  /// Key-switching digits of a polynomial over \p NumQ chain primes:
+  /// ceil(NumQ / alpha).
+  size_t numDigits(size_t NumQ) const {
+    return (NumQ + digitSize() - 1) / digitSize();
+  }
+
+  /// The \p K-th key-switching special prime (K < digitSize()).
+  uint64_t specialModulus(size_t K) const { return SpecialPrimes[K]; }
 
   /// NTT tables; index 0..chainLength()-1 are the q primes, index
-  /// chainLength() is the special prime.
+  /// chainLength() + K is special prime K.
   const NttTable &nttTable(size_t ModIndex) const {
     return *NttTables[ModIndex];
   }
 
-  /// Index of the special prime in the nttTable() numbering.
-  size_t specialIndex() const { return QModuli.size(); }
+  /// Index of special prime \p K in the nttTable() numbering.
+  size_t specialIndex(size_t K) const { return QModuli.size() + K; }
 
   /// inv(q_l) mod q_j, for rescaling from l+1 to l active primes (j < l).
   uint64_t invQLastModQ(size_t L, size_t J) const {
     return InvQLastModQ[L][J];
   }
 
+  /// P mod q_j for the special modulus P = p_0 ... p_{alpha-1} (the
+  /// switch-key gadget scale).
+  uint64_t specialModQ(size_t J) const { return SpecialModQ[J]; }
+
   /// inv(P) mod q_j, for mod-down after key switching.
   uint64_t invSpecialModQ(size_t J) const { return InvSpecialModQ[J]; }
+
+  /// ModUp conversion from the first \p NumPrimes primes of digit
+  /// \p Digit (chain primes Digit*alpha ..) to every modulus.
+  const BasisConversion &modUpConversion(size_t Digit,
+                                         size_t NumPrimes) const {
+    return ModUpConversions[Digit * digitSize() + NumPrimes - 1];
+  }
+
+  /// ModDown conversion from the special primes to the chain primes.
+  const BasisConversion &modDownConversion() const {
+    return ModDownConversion;
+  }
 
   /// The default encoding scale Delta = 2^LogScale.
   double scale() const { return Scale; }
@@ -123,10 +175,14 @@ public:
 private:
   CkksParams Params;
   std::vector<uint64_t> QModuli;
-  uint64_t SpecialPrime = 0;
+  std::vector<uint64_t> SpecialPrimes;
   std::vector<std::unique_ptr<NttTable>> NttTables;
   std::vector<std::vector<uint64_t>> InvQLastModQ;
+  std::vector<uint64_t> SpecialModQ;
   std::vector<uint64_t> InvSpecialModQ;
+  /// Indexed Digit * alpha + (NumPrimes - 1); see modUpConversion().
+  std::vector<BasisConversion> ModUpConversions;
+  BasisConversion ModDownConversion;
   double Scale = 0.0;
   /// Lazily built Galois NTT permutations, keyed by Galois element.
   mutable std::mutex GaloisPermMutex;

@@ -19,7 +19,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cmath>
-#include <limits>
 
 using namespace ace;
 using namespace ace::fhe;
@@ -113,7 +112,7 @@ static Status checkedEntry(const Context &Ctx, const char *What,
 Evaluator::Evaluator(const Context &Ctx, const Encoder &Enc,
                      const EvalKeys &Keys, RotationKeyCache *KeyCache)
     : Ctx(Ctx), Enc(Enc), Keys(Keys), KeyCache(KeyCache) {
-  MonomialNtt.resize(Ctx.chainLength() + 1);
+  MonomialNtt.resize(Ctx.chainLength() + Ctx.digitSize());
 }
 
 bool Evaluator::hasGaloisKey(uint64_t Galois) const {
@@ -154,11 +153,11 @@ Status Evaluator::materializeGaloisKey(
   const SwitchKey *Key = galoisKeyFor(Galois, Hold, &WhyNot);
   if (!Key)
     return WhyNot; // KeyMissing, or ResourceExhausted from lazy keygen
-  if (Key->Parts.size() < MinNumQ)
+  if (Key->numQ() < MinNumQ)
     return Status::keyMissing(
         "switch key for Galois element " + std::to_string(Galois) +
-        " truncated to " + std::to_string(Key->Parts.size()) +
-        " digits but " + std::to_string(MinNumQ) + " are required");
+        " truncated to " + std::to_string(Key->numQ()) + " primes but " +
+        std::to_string(MinNumQ) + " are required");
   if (Hold)
     Pins.push_back(std::move(Hold));
   return Status::success();
@@ -431,40 +430,93 @@ Ciphertext Evaluator::mulByI(const Ciphertext &A) const {
 // Key switching
 //===----------------------------------------------------------------------===//
 
-HoistedDecomposition Evaluator::decomposeNtt(const RnsPoly &D) const {
-  assert(!D.isNtt() && !D.hasSpecial() &&
-         "decomposeNtt input must be coeff-domain without special component");
+/// Fast basis conversion into one target limb: Dst[j] = sum_i
+/// Y[i*N + j] * [S/s_i]_Q mod Q, where the source limbs Y already hold
+/// y_i = [x_i * (S/s_i)^{-1}]_{s_i}. The result is x + e*S mod Q for some
+/// 0 <= e < NumSource (the approximate conversion of hybrid key
+/// switching). Target is Q's index in the conversion's target numbering.
+static void convertLimb(const BasisConversion &Conv, const uint64_t *Y,
+                        size_t Target, uint64_t Q, uint64_t *Dst, size_t N) {
+  const uint64_t *Hat = &Conv.Hat[Target * Conv.NumSource];
+  const uint64_t *HatShoup = &Conv.HatShoup[Target * Conv.NumSource];
+  for (size_t J = 0; J < N; ++J)
+    Dst[J] = mulModShoup(Y[J], Hat[0], HatShoup[0], Q);
+  for (size_t I = 1; I < Conv.NumSource; ++I) {
+    const uint64_t *Src = Y + I * N;
+    for (size_t J = 0; J < N; ++J)
+      Dst[J] = addMod(Dst[J], mulModShoup(Src[J], Hat[I], HatShoup[I], Q), Q);
+  }
+}
+
+/// Opens \p Span for \p Op with \p Source's level, scale and noise
+/// budget when telemetry is on: key-switch and modup rows describe the
+/// ciphertext the key switch serves.
+static void beginKeySwitchSpan(const Evaluator &Eval,
+                               telemetry::FheOpSpan &Span,
+                               telemetry::Counter Op,
+                               const Ciphertext &Source) {
+  if (telemetry::enabled())
+    Span.begin(Op, Source.numQ(), Source.Scale,
+               Eval.noiseBudgetBits(Source));
+}
+
+HoistedDecomposition Evaluator::decomposeNtt(const RnsPoly &D,
+                                             const Ciphertext &Source) const {
+  assert(D.isNtt() && !D.hasSpecial() &&
+         "decomposeNtt input must be NTT-form without special components");
   size_t L = D.numQ();
   size_t N = Ctx.degree();
+  size_t Alpha = Ctx.digitSize();
+  size_t NumDigits = Ctx.numDigits(L);
   // One ModUp = the full digit decomposition; this is the unit of work
   // hoisted rotation batches share (one per batch instead of one per
   // rotation), so the counter pair below is what the differential tests
   // and EXPERIMENTS.md use to prove the amortization.
-  countOp(telemetry::Counter::ModUp);
-  countOp(telemetry::Counter::KeySwitchDigit, L);
+  telemetry::FheOpSpan Span;
+  beginKeySwitchSpan(*this, Span, telemetry::Counter::ModUp, Source);
+  countOp(telemetry::Counter::KeySwitchDigit, NumDigits);
+
+  // The one inverse NTT of the input, fused with the first conversion
+  // step: limb i of digit d becomes y_i = [x_i * (Q_d/q_i)^{-1}]_{q_i},
+  // where Q_d is the product of the digit's primes.
+  RnsPoly Y(Ctx, L, /*HasSpecial=*/false, /*NttForm=*/false);
+  const PolyBackend &B = activePolyBackend();
+  parallelFor(0, L, [&](size_t I) {
+    size_t Digit = I / Alpha;
+    const BasisConversion &Conv =
+        Ctx.modUpConversion(Digit, std::min(Alpha, L - Digit * Alpha));
+    size_t K = I - Digit * Alpha;
+    uint64_t *Dst = Y.component(I);
+    std::copy(D.component(I), D.component(I) + N, Dst);
+    Ctx.nttTable(I).inverse(Dst);
+    B.scalarMul(Dst, Conv.InvHat[K], Conv.InvHatShoup[K], N,
+                Ctx.qModulus(I));
+  });
 
   HoistedDecomposition Dec;
   Dec.NumQ = L;
-  Dec.Digits.assign(L, RnsPoly(Ctx, L, /*HasSpecial=*/true,
-                               /*NttForm=*/true));
-  size_t NumComp = L + 1; // L chain primes + special
-  // Fully parallel over (digit, component) pairs: each pair lifts the
-  // digit residues (integers in [0, q_digit)) into the component's
-  // modulus and transforms that component in place. Every pair writes a
-  // disjoint slice, so the result is bit-identical at any thread count.
-  parallelFor(0, L * NumComp, [&](size_t Idx) {
+  Dec.Digits.assign(NumDigits, RnsPoly(Ctx, L, /*HasSpecial=*/true,
+                                       /*NttForm=*/true));
+  size_t NumComp = L + Alpha; // L chain primes + alpha special primes
+  // Fully parallel over (digit, component) pairs: each pair converts the
+  // digit into the component's modulus and transforms it in place, or
+  // copies the input's NTT-form limb where the component is one of the
+  // digit's own primes (the lifted digit is congruent to the input
+  // there). Every pair writes a disjoint slice, so the result is
+  // bit-identical at any thread count.
+  parallelFor(0, NumDigits * NumComp, [&](size_t Idx) {
     size_t Digit = Idx / NumComp;
     size_t C = Idx % NumComp;
+    size_t Begin = Digit * Alpha;
+    size_t Count = std::min(Alpha, L - Begin);
     RnsPoly &E = Dec.Digits[Digit];
-    const uint64_t *Src = D.component(Digit);
-    uint64_t M = E.modulus(C);
     uint64_t *Dst = E.component(C);
-    if (M == Ctx.qModulus(Digit)) {
-      std::copy(Src, Src + N, Dst);
-    } else {
-      for (size_t J = 0; J < N; ++J)
-        Dst[J] = Src[J] % M;
+    if (C >= Begin && C < Begin + Count) {
+      std::copy(D.component(C), D.component(C) + N, Dst);
+      return;
     }
+    convertLimb(Ctx.modUpConversion(Digit, Count), Y.component(Begin),
+                E.modIndex(C), E.modulus(C), Dst, N);
     Ctx.nttTable(E.modIndex(C)).forward(Dst);
   });
   return Dec;
@@ -475,11 +527,13 @@ void Evaluator::hoistedInnerProduct(const HoistedDecomposition &Dec,
                                     RnsPoly &Acc0, RnsPoly &Acc1) const {
   size_t L = Dec.NumQ;
   size_t N = Ctx.degree();
-  assert(Key.Parts.size() >= L &&
+  assert(Key.numQ() >= L &&
          "switch key truncated below this ciphertext's level");
-  // Keys may be truncated to fewer digits than the full chain; their
-  // special component sits right after their chain components.
-  size_t KeySpecial = Key.Parts[0].first.numQ();
+  assert(Key.Parts.size() >= Dec.Digits.size() &&
+         "switch key has fewer digits than the decomposition");
+  // Keys may be truncated to fewer primes than the full chain; their
+  // special components sit right after their chain components.
+  size_t KeySpecial = Key.numQ();
   // The automorphism acts on every lifted digit as the same NTT-domain
   // index permutation, so instead of materializing rotated digits the
   // accumulation gathers through the permutation table (identity when
@@ -490,18 +544,17 @@ void Evaluator::hoistedInnerProduct(const HoistedDecomposition &Dec,
   Acc0 = RnsPoly(Ctx, L, /*HasSpecial=*/true, /*NttForm=*/true);
   Acc1 = RnsPoly(Ctx, L, /*HasSpecial=*/true, /*NttForm=*/true);
   const PolyBackend &B = activePolyBackend();
-  parallelFor(0, L + 1, [&](size_t C) {
-    // Chain prime c maps to key component c, the special prime to the
-    // key's own special slot. Digits accumulate in ascending order so
+  parallelFor(0, Acc0.numComponents(), [&](size_t C) {
+    // Chain prime c maps to key component c, special prime k to the
+    // key's own special slot k. Digits accumulate in ascending order so
     // each residue sees exactly the serial code's value; within a digit
-    // the two backend mulAcc calls touch disjoint accumulators, so the
-    // values also match the old interleaved loop element-for-element.
-    size_t KeyComp = (C == L) ? KeySpecial : C;
+    // the two backend mulAcc calls touch disjoint accumulators.
+    size_t KeyComp = C < L ? C : KeySpecial + (C - L);
     uint64_t Q = Acc0.modulus(C);
     uint64_t *A0 = Acc0.component(C);
     uint64_t *A1 = Acc1.component(C);
     std::vector<uint64_t> Gather(Perm ? N : 0);
-    for (size_t Digit = 0; Digit < L; ++Digit) {
+    for (size_t Digit = 0; Digit < Dec.Digits.size(); ++Digit) {
       const uint64_t *X = Dec.Digits[Digit].component(C);
       const uint64_t *K0 = Key.Parts[Digit].first.component(KeyComp);
       const uint64_t *K1 = Key.Parts[Digit].second.component(KeyComp);
@@ -519,21 +572,30 @@ void Evaluator::hoistedInnerProduct(const HoistedDecomposition &Dec,
 }
 
 RnsPoly Evaluator::modDown(const RnsPoly &Acc) const {
-  // Divide by the special prime P: out = round(acc / P), computed as
-  // (acc - [acc]_P) * P^{-1} per chain prime, in parallel over chain
-  // primes (each writes only its own output limb).
+  // Divide by the special modulus P: out = (acc - [acc]_P) * P^{-1} per
+  // chain prime, where [acc]_P is converted from the alpha special limbs
+  // to each chain prime (up to a small multiple of P, which the division
+  // turns into an additive error below alpha). Parallel over special
+  // limbs, then over chain primes (each writes only its own output limb).
   size_t L = Acc.numQ();
   size_t N = Ctx.degree();
-  std::vector<uint64_t> SpecialCoeffs(Acc.component(L),
-                                      Acc.component(L) + N);
-  Ctx.nttTable(Ctx.specialIndex()).inverse(SpecialCoeffs.data());
+  size_t Alpha = Ctx.digitSize();
+  const BasisConversion &Conv = Ctx.modDownConversion();
+  std::vector<uint64_t> Special(Alpha * N);
+  const PolyBackend &B = activePolyBackend();
+  parallelFor(0, Alpha, [&](size_t K) {
+    uint64_t *Y = Special.data() + K * N;
+    std::copy(Acc.component(L + K), Acc.component(L + K) + N, Y);
+    Ctx.nttTable(Ctx.specialIndex(K)).inverse(Y);
+    B.scalarMul(Y, Conv.InvHat[K], Conv.InvHatShoup[K], N,
+                Ctx.specialModulus(K));
+  });
 
   RnsPoly Out(Ctx, L, /*HasSpecial=*/false, /*NttForm=*/true);
   parallelFor(0, L, [&](size_t C) {
     uint64_t Q = Ctx.qModulus(C);
     std::vector<uint64_t> Tmp(N);
-    for (size_t J = 0; J < N; ++J)
-      Tmp[J] = SpecialCoeffs[J] % Q;
+    convertLimb(Conv, Special.data(), C, Q, Tmp.data(), N);
     Ctx.nttTable(C).forward(Tmp.data());
     uint64_t InvP = Ctx.invSpecialModQ(C);
     uint64_t InvPShoup = shoupPrecompute(InvP, Q);
@@ -545,19 +607,18 @@ RnsPoly Evaluator::modDown(const RnsPoly &Acc) const {
   return Out;
 }
 
-std::pair<RnsPoly, RnsPoly> Evaluator::switchKey(const RnsPoly &D,
-                                                 const SwitchKey &Key) const {
-  assert(!D.isNtt() && !D.hasSpecial() &&
-         "switchKey input must be coeff-domain without special component");
-  assert(Key.Parts.size() >= D.numQ() &&
+std::pair<RnsPoly, RnsPoly>
+Evaluator::switchKey(const RnsPoly &D, const SwitchKey &Key,
+                     const Ciphertext &Source) const {
+  assert(D.isNtt() && !D.hasSpecial() &&
+         "switchKey input must be NTT-form without special components");
+  assert(Key.numQ() >= D.numQ() &&
          "switch key truncated below this ciphertext's level");
   ++Counters.KeySwitch;
   telemetry::FheOpSpan Span;
-  if (telemetry::enabled())
-    Span.begin(telemetry::Counter::KeySwitch, D.numQ(), /*Scale=*/0.0,
-               std::numeric_limits<double>::quiet_NaN());
+  beginKeySwitchSpan(*this, Span, telemetry::Counter::KeySwitch, Source);
 
-  HoistedDecomposition Dec = decomposeNtt(D);
+  HoistedDecomposition Dec = decomposeNtt(D, Source);
   RnsPoly Acc0, Acc1;
   hoistedInnerProduct(Dec, Key, /*Galois=*/1, Acc0, Acc1);
   return {modDown(Acc0), modDown(Acc1)};
@@ -572,9 +633,7 @@ Ciphertext Evaluator::relinearize(const Ciphertext &A) const {
     Span.begin(telemetry::Counter::Relinearize, A.numQ(), A.Scale,
                noiseBudgetBits(A));
 
-  RnsPoly D = A.Polys[2];
-  D.toCoeff();
-  auto [D0, D1] = switchKey(D, Keys.Relin);
+  auto [D0, D1] = switchKey(A.Polys[2], Keys.Relin, A);
 
   Ciphertext R;
   R.Scale = A.Scale;
@@ -608,21 +667,17 @@ Ciphertext Evaluator::applyGaloisHoisted(
 Ciphertext Evaluator::applyGalois(const Ciphertext &A, uint64_t Galois,
                                   const SwitchKey &Key) const {
   assert(A.size() == 2 && "relinearize before applying automorphisms");
-  assert(Key.Parts.size() >= A.numQ() &&
+  assert(Key.numQ() >= A.numQ() &&
          "switch key truncated below this ciphertext's level");
   ++Counters.KeySwitch;
   telemetry::FheOpSpan Span;
-  if (telemetry::enabled())
-    Span.begin(telemetry::Counter::KeySwitch, A.numQ(), /*Scale=*/0.0,
-               std::numeric_limits<double>::quiet_NaN());
+  beginKeySwitchSpan(*this, Span, telemetry::Counter::KeySwitch, A);
 
   // Decompose-first order: ModUp the un-rotated c1, then apply the
   // automorphism inside the decomposed digit domain. A hoisted batch of
   // one -- which is what makes rotate() bit-identical to rotateHoisted()
   // (both run exactly this arithmetic on the same decomposition).
-  RnsPoly C1 = A.Polys[1];
-  C1.toCoeff();
-  HoistedDecomposition Dec = decomposeNtt(C1);
+  HoistedDecomposition Dec = decomposeNtt(A.Polys[1], A);
   return applyGaloisHoisted(A, Galois, Key, Dec);
 }
 
@@ -683,7 +738,7 @@ Evaluator::rotateHoisted(const Ciphertext &A,
       reportFatalError("rotateHoisted: " + WhyNot.message());
     if (Hold)
       Holds.push_back(std::move(Hold));
-    assert(Key->Parts.size() >= A.numQ() &&
+    assert(Key->numQ() >= A.numQ() &&
            "rotation key truncated below this ciphertext's level");
     Jobs.push_back({I, Galois, Key});
   }
@@ -706,9 +761,7 @@ Evaluator::rotateHoisted(const Ciphertext &A,
   }
 
   // ModUp once for the whole batch (N decompositions -> 1).
-  RnsPoly C1 = A.Polys[1];
-  C1.toCoeff();
-  HoistedDecomposition Dec = decomposeNtt(C1);
+  HoistedDecomposition Dec = decomposeNtt(A.Polys[1], A);
 
   // Warm the lazy Galois permutation cache serially: the parallel loop
   // below should only read it.
@@ -930,11 +983,11 @@ Status Evaluator::checkedRelinSupport(const char *What,
         std::string(What) +
         ": relinearization key not generated (call keygen with relin "
         "enabled)");
-  if (Keys.Relin.Parts.size() < NumQ)
+  if (Keys.Relin.numQ() < NumQ)
     return Status::keyMissing(
         std::string(What) + ": relinearization key truncated to " +
-        std::to_string(Keys.Relin.Parts.size()) +
-        " digits but the ciphertext has " + std::to_string(NumQ) +
+        std::to_string(Keys.Relin.numQ()) +
+        " primes but the ciphertext has " + std::to_string(NumQ) +
         " active primes");
   return Status::success();
 }
@@ -1072,11 +1125,11 @@ StatusOr<Ciphertext> Evaluator::checkedRotate(const Ciphertext &A,
         " (galois element " + std::to_string(Galois) +
         "); the key analysis did not request this step");
   }
-  if (Key->Parts.size() < A.numQ())
+  if (Key->numQ() < A.numQ())
     return Status::keyMissing(
         "rotate: rotation key for step " + std::to_string(Steps) +
-        " truncated to " + std::to_string(Key->Parts.size()) +
-        " digits but the ciphertext has " + std::to_string(A.numQ()) +
+        " truncated to " + std::to_string(Key->numQ()) +
+        " primes but the ciphertext has " + std::to_string(A.numQ()) +
         " active primes");
   ++Counters.Rotate;
   telemetry::FheOpSpan Span;
@@ -1120,11 +1173,11 @@ Evaluator::checkedRotateHoisted(const Ciphertext &A,
     }
     if (Hold)
       Holds.push_back(std::move(Hold));
-    if (Key->Parts.size() < A.numQ())
+    if (Key->numQ() < A.numQ())
       return Status::keyMissing(
           "rotate: rotation key for step " + std::to_string(Step) +
-          " truncated to " + std::to_string(Key->Parts.size()) +
-          " digits but the ciphertext has " + std::to_string(A.numQ()) +
+          " truncated to " + std::to_string(Key->numQ()) +
+          " primes but the ciphertext has " + std::to_string(A.numQ()) +
           " active primes");
   }
   return rotateHoisted(A, Steps);
@@ -1138,11 +1191,11 @@ StatusOr<Ciphertext> Evaluator::checkedConjugate(const Ciphertext &A) const {
         std::to_string(A.size()) + " components)");
   if (!Keys.HasConjugate || keyDropped(FaultKind::DropGaloisKey))
     return Status::keyMissing("conjugate: conjugation key not generated");
-  if (Keys.Conjugate.Parts.size() < A.numQ())
+  if (Keys.Conjugate.numQ() < A.numQ())
     return Status::keyMissing(
         "conjugate: conjugation key truncated to " +
-        std::to_string(Keys.Conjugate.Parts.size()) +
-        " digits but the ciphertext has " + std::to_string(A.numQ()) +
+        std::to_string(Keys.Conjugate.numQ()) +
+        " primes but the ciphertext has " + std::to_string(A.numQ()) +
         " active primes");
   return conjugate(A);
 }

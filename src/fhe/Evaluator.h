@@ -9,11 +9,13 @@
 /// \file
 /// The homomorphic evaluator: every CKKS-IR operation of paper Table 6
 /// (add, sub, neg, mul, rotate, rescale, modswitch, upscale, downscale,
-/// relin) has a runtime counterpart here. Key switching uses the RNS
-/// digit-decomposition ("hybrid with one special prime") method: the input
-/// polynomial is decomposed per chain prime, multiplied against the
-/// matching switch-key parts over the extended basis, and divided by the
-/// special prime. Operation counters feed the benchmark harness.
+/// relin) has a runtime counterpart here. Key switching is hybrid (Han and
+/// Ki, CT-RSA 2020): the input polynomial is decomposed into digits of
+/// alpha consecutive chain primes, each digit is lifted to the extended
+/// basis by fast basis conversion, multiplied against the matching
+/// switch-key part, and the sum is divided by the special modulus P (the
+/// product of alpha special primes). Operation counters feed the
+/// benchmark harness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,16 +33,17 @@
 namespace ace {
 namespace fhe {
 
-/// The shared ModUp product of a (possibly hoisted) key switch: the RNS
-/// digit decomposition of one polynomial, each digit lifted to the
-/// extended basis (all active chain primes plus the special prime) and
+/// The shared ModUp product of a (possibly hoisted) key switch: the
+/// hybrid digit decomposition of one polynomial, each digit lifted to the
+/// extended basis (all active chain primes plus the special primes) and
 /// transformed to NTT form. Hoisted rotations compute this once per batch
 /// and reuse it for every Galois automorphism, because the automorphism
 /// acts on each lifted digit as a pure NTT-domain permutation
 /// (RnsPoly::automorphismNtt).
 struct HoistedDecomposition {
-  /// One lifted digit per active chain prime; each has NumQ chain
-  /// components plus the special component, in NTT form.
+  /// One lifted digit per group of alpha active chain primes
+  /// (Context::numDigits(NumQ) of them); each has NumQ chain components
+  /// plus the special components, in NTT form.
   std::vector<RnsPoly> Digits;
   /// Number of active chain primes of the decomposed polynomial.
   size_t NumQ = 0;
@@ -89,7 +92,7 @@ public:
   /// Materializes the switch key for \p Galois through the Status path
   /// (lazy keygen runs the governor's admit here, so budget refusals
   /// come back in-band as ResourceExhausted instead of aborting in the
-  /// hot tier) and verifies it covers \p MinNumQ decomposition digits.
+  /// hot tier) and verifies it covers \p MinNumQ chain primes.
   /// A cache-served key is appended to \p Pins; holding the pins keeps
   /// it resident (eviction skips held keys), so a caller about to run a
   /// long unchecked sequence — the bootstrapper — can guarantee every
@@ -245,19 +248,25 @@ public:
   double mulPlainScale(const Ciphertext &Ct) const;
   /// @}
 
-  /// Key switching primitive: switches \p D (coefficient domain, no
-  /// special component) from the key \p Key encodes to the canonical
-  /// secret. Returns the two result polynomials in NTT form. Exposed for
-  /// hoisted-rotation style optimizations and white-box tests.
+  /// Key switching primitive: switches \p D (NTT form, no special
+  /// components) from the key \p Key encodes to the canonical secret.
+  /// Returns the two result polynomials in NTT form. \p Source is the
+  /// ciphertext \p D belongs to; its level, scale and noise budget label
+  /// the key-switch and modup trace rows. Exposed for hoisted-rotation
+  /// style optimizations and white-box tests.
   std::pair<RnsPoly, RnsPoly> switchKey(const RnsPoly &D,
-                                        const SwitchKey &Key) const;
+                                        const SwitchKey &Key,
+                                        const Ciphertext &Source) const;
 
-  /// ModUp: decomposes \p D (coefficient domain, no special component)
-  /// into one digit per active chain prime, lifts each digit to the
-  /// extended basis and transforms it to NTT form. This is the work a
+  /// ModUp: one inverse NTT of \p D (NTT form, no special components),
+  /// then per digit of alpha chain primes a fast basis conversion to
+  /// every other modulus of the extended basis and a forward NTT there;
+  /// the digit's own limbs are copied from \p D. This is the work a
   /// hoisted rotation batch shares; exposed for white-box tests of the
-  /// digit-domain automorphism invariant.
-  HoistedDecomposition decomposeNtt(const RnsPoly &D) const;
+  /// digit-domain automorphism invariant. \p Source is the ciphertext
+  /// \p D belongs to; it labels the modup trace row.
+  HoistedDecomposition decomposeNtt(const RnsPoly &D,
+                                    const Ciphertext &Source) const;
 
   /// Applies a raw Galois automorphism with key switching.
   Ciphertext applyGalois(const Ciphertext &A, uint64_t Galois,
@@ -305,7 +314,7 @@ private:
   void hoistedInnerProduct(const HoistedDecomposition &Dec,
                            const SwitchKey &Key, uint64_t Galois,
                            RnsPoly &Acc0, RnsPoly &Acc1) const;
-  /// Divides the extended-basis accumulator by the special prime P:
+  /// Divides the extended-basis accumulator by the special modulus P:
   /// out = (acc - [acc]_P) * P^{-1} per chain prime. Counter-free.
   RnsPoly modDown(const RnsPoly &Acc) const;
   /// One rotation of a hoisted batch: inner product + ModDown for
@@ -316,7 +325,7 @@ private:
                                 const SwitchKey &Key,
                                 const HoistedDecomposition &Dec) const;
   void checkAddCompatible(const Ciphertext &A, const Ciphertext &B) const;
-  /// Verifies the relinearization key exists and covers \p NumQ digits.
+  /// Verifies the relinearization key exists and covers \p NumQ primes.
   Status checkedRelinSupport(const char *What, size_t NumQ) const;
   /// Verifies \p A retains enough noise budget to absorb a multiply that
   /// adds \p ExtraLogScale bits of scale; Status(DepthExhausted) when the

@@ -113,28 +113,32 @@ SwitchKey KeyGenerator::makeSwitchKey(const RnsPoly &Source) {
          "switch-key source must be NTT over the full basis");
   size_t L = Ctx.chainLength();
   size_t N = Ctx.degree();
-  uint64_t P = Ctx.specialModulus();
+  size_t Alpha = Ctx.digitSize();
 
   SwitchKey Key;
-  Key.Parts.reserve(L);
-  for (size_t Digit = 0; Digit < L; ++Digit) {
+  Key.Parts.reserve(Ctx.numDigits(L));
+  for (size_t Digit = 0; Digit < Ctx.numDigits(L); ++Digit) {
     RnsPoly A = sampleUniform(L, /*HasSpecial=*/true);
     RnsPoly E = sampleNoise(L, /*HasSpecial=*/true);
     E.toNtt();
     // b = -(a*s + e) + P * g_digit * source; the gadget g_digit is 1 mod
-    // q_digit and 0 mod every other modulus, so only one component of the
-    // source term is nonzero.
+    // the digit's chain primes and 0 mod every other modulus (P is 0 mod
+    // the special primes), so the source term touches only the digit's
+    // own components.
     RnsPoly B = A.mul(Secret.S);
     B.addInPlace(E);
     B.negateInPlace();
-    uint64_t QD = Ctx.qModulus(Digit);
-    uint64_t PModQ = P % QD;
-    uint64_t PModQShoup = shoupPrecompute(PModQ, QD);
-    uint64_t *BComp = B.component(Digit);
-    const uint64_t *SrcComp = Source.component(Digit);
-    for (size_t J = 0; J < N; ++J)
-      BComp[J] = addMod(
-          BComp[J], mulModShoup(SrcComp[J], PModQ, PModQShoup, QD), QD);
+    for (size_t I = Digit * Alpha; I < std::min(L, (Digit + 1) * Alpha);
+         ++I) {
+      uint64_t Q = Ctx.qModulus(I);
+      uint64_t PModQ = Ctx.specialModQ(I);
+      uint64_t PModQShoup = shoupPrecompute(PModQ, Q);
+      uint64_t *BComp = B.component(I);
+      const uint64_t *SrcComp = Source.component(I);
+      for (size_t J = 0; J < N; ++J)
+        BComp[J] = addMod(
+            BComp[J], mulModShoup(SrcComp[J], PModQ, PModQShoup, Q), Q);
+    }
     Key.Parts.emplace_back(std::move(B), std::move(A));
   }
   return Key;
@@ -154,11 +158,12 @@ SwitchKey KeyGenerator::makeGaloisKey(uint64_t Galois) {
 }
 
 SwitchKey KeyGenerator::truncateKey(const SwitchKey &Key, size_t MaxNumQ) {
-  if (MaxNumQ == 0 || MaxNumQ >= Key.Parts.size())
+  if (MaxNumQ == 0 || MaxNumQ >= Key.numQ())
     return Key;
+  const Context &Ctx = Key.Parts[0].first.context();
   SwitchKey Out;
-  Out.Parts.reserve(MaxNumQ);
-  for (size_t I = 0; I < MaxNumQ; ++I)
+  Out.Parts.reserve(Ctx.numDigits(MaxNumQ));
+  for (size_t I = 0, E = Ctx.numDigits(MaxNumQ); I < E; ++I)
     Out.Parts.emplace_back(
         Key.Parts[I].first.restrictedCopy(MaxNumQ, /*KeepSpecial=*/true),
         Key.Parts[I].second.restrictedCopy(MaxNumQ, /*KeepSpecial=*/true));
@@ -283,9 +288,12 @@ bool RotationKeyCache::declared(uint64_t Galois) const {
 }
 
 size_t RotationKeyCache::estimateBytes(size_t MaxNumQ) const {
-  size_t NumQ = MaxNumQ == 0 ? Ctx.chainLength() : MaxNumQ;
-  // NumQ digit pairs, each polynomial over NumQ chain moduli + special.
-  return NumQ * 2 * (NumQ + 1) * Ctx.degree() * sizeof(uint64_t);
+  size_t NumQ = MaxNumQ == 0 ? Ctx.chainLength()
+                             : std::min(MaxNumQ, Ctx.chainLength());
+  // ceil(NumQ / alpha) digit pairs, each polynomial over NumQ chain
+  // moduli + alpha special moduli.
+  return Ctx.numDigits(NumQ) * 2 * (NumQ + Ctx.digitSize()) * Ctx.degree() *
+         sizeof(uint64_t);
 }
 
 SwitchKey RotationKeyCache::generate(const Entry &E, uint64_t Galois) {
@@ -334,6 +342,7 @@ RotationKeyCache::get(uint64_t Galois) {
   // Generation holds the mutex: the KeyGenerator RNG is shared state.
   auto Key = std::make_shared<const SwitchKey>(generate(E, Galois));
   E.Bytes = Key->byteSize();
+  assert(E.Bytes == Estimate && "key admitted at a size it does not have");
   E.Key = Key;
   E.LastUse = ++UseClock;
   ResidentBytes += E.Bytes;

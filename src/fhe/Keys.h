@@ -36,7 +36,7 @@ namespace ace {
 namespace fhe {
 
 /// The ternary secret key s, stored in NTT form over the full basis
-/// (all chain primes + the special prime).
+/// (all chain primes + the special primes).
 struct SecretKey {
   RnsPoly S;
   size_t byteSize() const { return S.byteSize(); }
@@ -50,11 +50,18 @@ struct PublicKey {
 };
 
 /// A key-switching key from some source key s' to s: one (b_i, a_i) pair
-/// per RNS decomposition digit, over the full basis extended by the special
-/// prime, in NTT form. b_i = -(a_i s + e_i) + P * g_i * s', where g_i is
-/// the RNS gadget (g_i = delta_ij mod q_j).
+/// per hybrid decomposition digit (alpha consecutive chain primes, see
+/// keySwitchDigitSize), over the chain extended by the alpha special
+/// primes, in NTT form. b_i = -(a_i s + e_i) + P * g_i * s', where P is
+/// the special modulus and g_i the RNS gadget: 1 mod every prime of digit
+/// i, 0 mod every other modulus. A key over NumQ chain primes holds
+/// ceil(NumQ / alpha) parts.
 struct SwitchKey {
   std::vector<std::pair<RnsPoly, RnsPoly>> Parts;
+
+  /// Chain primes the key covers (its truncation level; 0 when empty).
+  /// The key switches any ciphertext with at most this many primes.
+  size_t numQ() const { return Parts.empty() ? 0 : Parts[0].first.numQ(); }
 
   size_t byteSize() const {
     size_t Sum = 0;
@@ -116,19 +123,20 @@ public:
   /// Generates the rotation key for a left rotation by \p Steps slots.
   /// \p MaxNumQ truncates the key to the deepest level the compiler's
   /// dataflow analysis saw the step used at (0 = full chain): a key used
-  /// only below level l needs only l decomposition digits over l+1
-  /// moduli, which is where most of the paper's Figure 7 key-memory
-  /// saving comes from.
+  /// only below level l needs only ceil(l / alpha) decomposition digits
+  /// over l + alpha moduli, which is where most of the paper's Figure 7
+  /// key-memory saving comes from.
   SwitchKey makeRotationKey(int64_t Steps, size_t MaxNumQ = 0);
 
-  /// Restricts \p Key to \p MaxNumQ chain digits/moduli (plus special).
+  /// Restricts \p Key to \p MaxNumQ chain moduli (plus the special
+  /// primes) and the ceil(MaxNumQ / alpha) digits they span.
   static SwitchKey truncateKey(const SwitchKey &Key, size_t MaxNumQ);
 
   /// Generates the conjugation key.
   SwitchKey makeConjugationKey();
 
   /// Generates a switch key from an arbitrary source key polynomial
-  /// \p Source (NTT form, full basis + special).
+  /// \p Source (NTT form, full chain + special primes).
   SwitchKey makeSwitchKey(const RnsPoly &Source);
 
   /// Generates the key for a raw Galois automorphism X -> X^Galois. Used
@@ -233,8 +241,8 @@ private:
     uint64_t LastUse = 0;
   };
 
-  /// Worst-case byte estimate for a key at truncation \p MaxNumQ, used
-  /// for governor admission before generating.
+  /// Exact byte size of a key at truncation \p MaxNumQ, used for
+  /// governor admission before generating.
   size_t estimateBytes(size_t MaxNumQ) const;
   /// Widens \p E to cover \p MaxNumQ moduli if that is wider than its
   /// current truncation (0 = full chain is widest; never narrows),

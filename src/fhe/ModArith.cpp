@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 
 using namespace ace;
@@ -70,13 +71,63 @@ bool ace::fhe::isPrime(uint64_t X) {
   return true;
 }
 
+/// One nontrivial factor of the odd composite \p N by Pollard's rho with
+/// Brent's cycle detection, batching 128 differences per gcd. Retries with
+/// the next polynomial constant when a cycle closes without a split.
+static uint64_t pollardBrent(uint64_t N) {
+  constexpr uint64_t Batch = 128;
+  for (uint64_t C = 1;; ++C) {
+    auto Step = [&](uint64_t X) { return addMod(mulMod(X, X, N), C, N); };
+    auto Diff = [](uint64_t A, uint64_t B) { return A > B ? A - B : B - A; };
+    uint64_t Y = 2, X = 2, Saved = 2, Prod = 1, G = 1;
+    for (uint64_t R = 1; G == 1; R *= 2) {
+      X = Y;
+      for (uint64_t I = 0; I < R; ++I)
+        Y = Step(Y);
+      for (uint64_t K = 0; K < R && G == 1; K += Batch) {
+        Saved = Y;
+        for (uint64_t I = 0, E = std::min(Batch, R - K); I < E; ++I) {
+          Y = Step(Y);
+          Prod = mulMod(Prod, Diff(X, Y), N);
+        }
+        G = std::gcd(Prod, N);
+      }
+    }
+    // The batch overshot (the product hit 0 mod N): replay it one
+    // difference at a time from the batch start.
+    if (G == N) {
+      do {
+        Saved = Step(Saved);
+        G = std::gcd(Diff(X, Saved), N);
+      } while (G == 1);
+    }
+    if (G != N)
+      return G;
+  }
+}
+
+/// Appends the distinct prime factors of \p M (> 1, no factor below 1000)
+/// to \p Out.
+static void collectLargePrimeFactors(uint64_t M, std::vector<uint64_t> &Out) {
+  if (isPrime(M)) {
+    if (std::find(Out.begin(), Out.end(), M) == Out.end())
+      Out.push_back(M);
+    return;
+  }
+  uint64_t D = pollardBrent(M);
+  collectLargePrimeFactors(D, Out);
+  collectLargePrimeFactors(M / D, Out);
+}
+
 uint64_t ace::fhe::findGenerator(uint64_t P) {
-  // Factor P-1 by trial division (our primes have smooth-enough cofactors
-  // for this to be fast: P-1 = 2N * odd cofactor).
+  // Factor P-1: trial division strips the small primes (P-1 = 2N * odd
+  // cofactor), Pollard-Brent rho splits what is left. The cofactor of a
+  // 60-bit NTT prime can hold two ~25-bit primes, which trial division
+  // alone needs ~10^7 steps to reach.
   uint64_t Phi = P - 1;
   std::vector<uint64_t> Factors;
   uint64_t M = Phi;
-  for (uint64_t F = 2; F * F <= M; ++F) {
+  for (uint64_t F = 2; F < 1000 && F * F <= M; ++F) {
     if (M % F != 0)
       continue;
     Factors.push_back(F);
@@ -84,7 +135,7 @@ uint64_t ace::fhe::findGenerator(uint64_t P) {
       M /= F;
   }
   if (M > 1)
-    Factors.push_back(M);
+    collectLargePrimeFactors(M, Factors);
 
   for (uint64_t Candidate = 2; Candidate < P; ++Candidate) {
     bool IsGenerator = true;

@@ -167,15 +167,15 @@ RnsPoly RnsPoly::restrictedCopy(size_t NewNumQ, bool KeepSpecial) const {
   size_t N = Ctx->degree();
   for (size_t I = 0; I < NewNumQ; ++I)
     std::copy(component(I), component(I) + N, Result.component(I));
-  if (KeepSpecial)
-    std::copy(component(NumQ), component(NumQ) + N,
-              Result.component(NewNumQ));
+  for (size_t K = 0, E = Result.numSpecial(); K < E; ++K)
+    std::copy(component(NumQ + K), component(NumQ + K) + N,
+              Result.component(NewNumQ + K));
   return Result;
 }
 
 void RnsPoly::dropLastQ() {
   assert(NumQ > 1 && "cannot drop the base modulus");
-  assert(!HasSpecial && "drop the special prime first");
+  assert(!HasSpecial && "drop the special primes first");
   --NumQ;
   Data.shrinkTo(numComponents() * Ctx->degree());
 }

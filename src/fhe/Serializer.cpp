@@ -67,15 +67,17 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 /// Serialized size bound of one polynomial: prime count (2) + flags (2) +
-/// residues over the whole chain plus the special prime.
+/// residues over the whole chain plus the special primes.
 uint64_t polyMaxBytes(const Context &Ctx) {
-  return 4 + static_cast<uint64_t>(Ctx.chainLength() + 1) * Ctx.degree() * 8;
+  return 4 + static_cast<uint64_t>(Ctx.chainLength() + Ctx.digitSize()) *
+                 Ctx.degree() * 8;
 }
 
 /// Serialized size bound of one switch key: part count (4) + one
-/// polynomial pair per decomposition digit.
+/// polynomial pair per hybrid decomposition digit of the full chain.
 uint64_t switchKeyMaxBytes(const Context &Ctx) {
-  return 4 + static_cast<uint64_t>(Ctx.chainLength()) * 2 * polyMaxBytes(Ctx);
+  return 4 + static_cast<uint64_t>(Ctx.numDigits(Ctx.chainLength())) * 2 *
+                 polyMaxBytes(Ctx);
 }
 
 } // namespace
@@ -433,7 +435,7 @@ Status parseCiphertextPayload(const Context &Ctx, ByteReader &R,
 }
 
 /// Parses one key polynomial and enforces the shared key-material shape:
-/// NTT form, full chain when \p FullChain, special prime when
+/// NTT form, full chain when \p FullChain, special primes when
 /// \p NeedSpecial.
 StatusOr<RnsPoly> parseKeyPoly(const Context &Ctx, ByteReader &R,
                                const char *What, bool NeedSpecial,
@@ -446,9 +448,9 @@ StatusOr<RnsPoly> parseKeyPoly(const Context &Ctx, ByteReader &R,
     return Status::dataCorrupt(std::string(What) +
                                (NeedSpecial
                                     ? ": key polynomial lacks the special "
-                                      "prime component"
+                                      "prime components"
                                     : ": key polynomial must not carry the "
-                                      "special prime"));
+                                      "special primes"));
   if (FullChain && P.numQ() != Ctx.chainLength())
     return Status::dataCorrupt(
         std::string(What) + ": key polynomial spans " +
@@ -462,11 +464,12 @@ Status parseSwitchKeyBody(const Context &Ctx, ByteReader &R,
   uint32_t NumParts = 0;
   if (!R.u32(NumParts))
     return truncatedAt(R, "switch-key part count");
-  if (NumParts < 1 || NumParts > Ctx.chainLength())
+  size_t MaxParts = Ctx.numDigits(Ctx.chainLength());
+  if (NumParts < 1 || NumParts > MaxParts)
     return Status::dataCorrupt(
         "switch key declares " + std::to_string(NumParts) +
         " decomposition digits, context allows 1.." +
-        std::to_string(Ctx.chainLength()));
+        std::to_string(MaxParts));
   Out.Parts.clear();
   Out.Parts.reserve(NumParts);
   for (uint32_t I = 0; I < NumParts; ++I) {
@@ -481,6 +484,15 @@ Status parseSwitchKeyBody(const Context &Ctx, ByteReader &R,
       return Status::dataCorrupt(
           "switch-key digit " + std::to_string(I) +
           " spans a different prime count than its siblings");
+    // A key over l chain primes has exactly one part per group of alpha
+    // of them; any other count would index past the key (or ignore
+    // parts) in the key-switch inner product.
+    if (I == 0 && NumParts != Ctx.numDigits(B.numQ()))
+      return Status::dataCorrupt(
+          "switch key declares " + std::to_string(NumParts) +
+          " decomposition digits but its " + std::to_string(B.numQ()) +
+          " chain primes form " + std::to_string(Ctx.numDigits(B.numQ())) +
+          " digits of " + std::to_string(Ctx.digitSize()) + " primes");
     Out.Parts.emplace_back(std::move(B), std::move(A));
   }
   return Status::success();
@@ -670,7 +682,19 @@ Status checkSaveableSwitchKey(const SwitchKey &K, const char *What) {
   for (const auto &Part : K.Parts) {
     ACE_RETURN_IF_ERROR(checkBoundPoly(Part.first, What));
     ACE_RETURN_IF_ERROR(checkBoundPoly(Part.second, What));
+    if (!Part.first.hasSpecial() || !Part.second.hasSpecial() ||
+        Part.first.numQ() != K.numQ() || Part.second.numQ() != K.numQ())
+      return Status::invalidArgument(
+          std::string(What) +
+          ": switch-key parts differ in shape or lack the special primes");
   }
+  const Context &Ctx = K.Parts[0].first.context();
+  if (K.Parts.size() != Ctx.numDigits(K.numQ()))
+    return Status::invalidArgument(
+        std::string(What) + ": switch key has " +
+        std::to_string(K.Parts.size()) + " parts for " +
+        std::to_string(K.numQ()) + " chain primes (expected " +
+        std::to_string(Ctx.numDigits(K.numQ())) + ")");
   return Status::success();
 }
 

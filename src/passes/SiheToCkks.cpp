@@ -518,10 +518,14 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
             static_cast<size_t>(MaxBootTarget + State.BootstrapDepth),
             InputNumQ);
       }
-      int LogQP = P.LogFirstModulus +
-                  static_cast<int>(ChainNumQ - 1) * P.LogScale + 60;
+      // The smallest standardized ring covering the chain plus one
+      // special prime. At that ring keySwitchDigitSize groups only as
+      // many primes per digit as the budget still covers with alpha
+      // special primes, so hybrid key switching never raises N.
+      int LogQ = P.LogFirstModulus +
+                 static_cast<int>(ChainNumQ - 1) * P.LogScale;
       size_t NSec = fhe::minRingDegreeFor(
-          LogQP, fhe::SecurityLevelKind::SL_128);
+          LogQ + P.LogSpecialModulus, fhe::SecurityLevelKind::SL_128);
       if (NSec == 0)
         return Status::error("no standardized ring supports this depth");
       size_t NewN = std::max(NSec, 2 * nextPow2(Slots));
@@ -529,6 +533,17 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
         break;
       P.RingDegree = NewN;
     }
+    // log QP counts all alpha special primes of the runtime's key
+    // switching (log P = alpha * LogSpecialModulus).
+    P.NumRescaleModuli = static_cast<int>(ChainNumQ) - 1;
+    int LogQP = P.LogFirstModulus +
+                static_cast<int>(ChainNumQ - 1) * P.LogScale +
+                static_cast<int>(fhe::keySwitchDigitSize(P)) *
+                    P.LogSpecialModulus;
+    if (LogQP > fhe::maxLogQ(P.RingDegree, fhe::SecurityLevelKind::SL_128))
+      return Status::error("log QP " + std::to_string(LogQP) +
+                           " exceeds the 128-bit budget of ring degree " +
+                           std::to_string(P.RingDegree));
   }
   P.NumRescaleModuli = static_cast<int>(ChainNumQ) - 1;
   State.SelectedParams = P;

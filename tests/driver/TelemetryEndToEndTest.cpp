@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -136,7 +137,23 @@ TEST_F(TelemetryEndToEndTest, GoldenCountersMatchEvaluatorAndPlan) {
   EXPECT_GT(S.get(Counter::Rotate), 0u);
   EXPECT_GT(S.get(Counter::Rescale), 0u);
   EXPECT_GT(S.get(Counter::NttForward), 0u);
-  EXPECT_GT(S.get(Counter::KeySwitchDigit), S.get(Counter::KeySwitch));
+
+  // Hybrid key switching: a ModUp at l active primes processes
+  // ceil(l / alpha) grouped digits, and its modup trace row carries l,
+  // so the digit counter is exactly the sum over those rows.
+  ASSERT_EQ(Telemetry::instance().droppedEventCount(), 0u);
+  size_t Alpha = Exec->context().digitSize();
+  uint64_t ModUpRows = 0, Digits = 0;
+  for (const TraceEvent &E : Telemetry::instance().eventsCopy()) {
+    if (E.Name != "modup")
+      continue;
+    ASSERT_GE(E.Level, 1);
+    ++ModUpRows;
+    Digits += (static_cast<size_t>(E.Level) + Alpha - 1) / Alpha;
+  }
+  EXPECT_GT(ModUpRows, 0u);
+  EXPECT_EQ(ModUpRows, S.get(Counter::ModUp));
+  EXPECT_EQ(Digits, S.get(Counter::KeySwitchDigit));
 
   // Bootstrap executions match the compiler's plan.
   EXPECT_EQ(R->State.BootstrapCount, S.get(Counter::Bootstrap));
@@ -160,15 +177,18 @@ TEST_F(TelemetryEndToEndTest, TraceContainsPassAndRuntimeOpSpans) {
   // ...and the runtime primitives the acceptance criteria name.
   for (const char *Op :
        {"ct-ct-mul", "ct-pt-mul", "rotate", "rescale", "bootstrap",
-        "key-switch", "relinearize"})
+        "key-switch", "modup", "relinearize"})
     EXPECT_TRUE(Names.count(Op)) << "missing runtime op span " << Op;
   // Bootstrap stage spans nest inside the bootstrap op span.
   for (const char *Stage :
        {"ModRaise", "SubSum", "CoeffToSlot", "EvalMod", "SlotToCoeff"})
     EXPECT_TRUE(Names.count(Stage)) << "missing bootstrap stage " << Stage;
 
-  // Health was recorded with plausible CKKS quantities.
-  bool SawMulHealth = false;
+  // Health was recorded with plausible CKKS quantities. Key switches
+  // and ModUps carry the level, scale and budget of the ciphertext they
+  // serve (relinearize, rotate, conjugate), not a scale-0 placeholder.
+  bool SawMulHealth = false, SawKeySwitchHealth = false,
+       SawModUpHealth = false;
   for (const auto &[Op, H] : Telemetry::instance().health()) {
     if (Op == Counter::CtCtMul) {
       SawMulHealth = true;
@@ -176,8 +196,21 @@ TEST_F(TelemetryEndToEndTest, TraceContainsPassAndRuntimeOpSpans) {
       EXPECT_GE(H.MinLevel, 1);
       EXPECT_GT(H.MinNoiseBudgetBits, 0.0);
     }
+    if (Op == Counter::KeySwitch || Op == Counter::ModUp) {
+      (Op == Counter::KeySwitch ? SawKeySwitchHealth : SawModUpHealth) =
+          true;
+      EXPECT_GT(H.Count, 0u);
+      EXPECT_GE(H.MinLevel, 1);
+      EXPECT_TRUE(std::isfinite(H.MinNoiseBudgetBits))
+          << counterName(Op) << " row has no noise budget";
+      EXPECT_GT(H.MinNoiseBudgetBits, 0.0);
+      EXPECT_TRUE(std::isfinite(H.LastLog2Scale));
+      EXPECT_GT(H.LastLog2Scale, 10.0) << counterName(Op);
+    }
   }
   EXPECT_TRUE(SawMulHealth);
+  EXPECT_TRUE(SawKeySwitchHealth);
+  EXPECT_TRUE(SawModUpHealth);
 
   // The written trace is structurally valid Chrome JSON.
   std::string Json;

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 
@@ -183,29 +184,36 @@ TEST_F(HoistedRotationTest, AutomorphismNttMatchesCoefficientPath) {
 }
 
 /// White-box: automorphism-then-decompose equals
-/// decompose-then-digit-automorphism on each digit's own limb (where the
-/// lift to the extended basis is the identity, the digit IS the residue
-/// mod its chain prime, and reduction commutes with the automorphism).
+/// decompose-then-digit-automorphism on each digit's own limbs. Each
+/// digit groups alpha consecutive chain primes (the last one partial
+/// here: 7 primes in digits of 3); on its own primes the lifted digit is
+/// the input residue itself, copied from the NTT form, and reduction
+/// commutes with the automorphism.
 TEST_F(HoistedRotationTest, DigitAutomorphismCommutesWithDecomposition) {
   Rng R(17);
   Ciphertext In = randomCiphertext(R, Ctx.chainLength());
-  RnsPoly D = In.Polys[1];
-  D.toCoeff();
+  const RnsPoly &D = In.Polys[1];
   size_t N = Ctx.degree();
+  size_t Alpha = Ctx.digitSize();
+  ASSERT_EQ(Alpha, 3u);
   uint64_t Galois = galoisForRotation(N, Ctx.slots(), 7);
 
-  HoistedDecomposition Dec = Eval->decomposeNtt(D);
-  RnsPoly Rotated = D.automorphism(Galois);
-  HoistedDecomposition DecRotated = Eval->decomposeNtt(Rotated);
+  HoistedDecomposition Dec = Eval->decomposeNtt(D, In);
+  RnsPoly Rotated = D.automorphismNtt(Galois);
+  HoistedDecomposition DecRotated = Eval->decomposeNtt(Rotated, In);
 
-  ASSERT_EQ(Dec.Digits.size(), DecRotated.Digits.size());
+  ASSERT_EQ(Dec.Digits.size(), Ctx.numDigits(Ctx.chainLength()));
+  ASSERT_EQ(Dec.Digits.size(), 3u);
+  ASSERT_EQ(DecRotated.Digits.size(), Dec.Digits.size());
   for (size_t Digit = 0; Digit < Dec.Digits.size(); ++Digit) {
     RnsPoly Permuted = Dec.Digits[Digit].automorphismNtt(Galois);
-    EXPECT_EQ(std::memcmp(DecRotated.Digits[Digit].component(Digit),
-                          Permuted.component(Digit),
-                          N * sizeof(uint64_t)),
-              0)
-        << "digit " << Digit;
+    ASSERT_EQ(Permuted.numComponents(), Ctx.chainLength() + Alpha);
+    for (size_t C = Digit * Alpha;
+         C < std::min(Ctx.chainLength(), (Digit + 1) * Alpha); ++C)
+      EXPECT_EQ(std::memcmp(DecRotated.Digits[Digit].component(C),
+                            Permuted.component(C), N * sizeof(uint64_t)),
+                0)
+          << "digit " << Digit << " limb " << C;
   }
 }
 
@@ -273,11 +281,22 @@ TEST(HoistedRotationBootstrap, BabyStepsShareOneModUpPerBatch) {
     V = R.uniformReal(-0.5, 0.5);
   Ciphertext In = Encrypt.encryptValues(Enc, X, 1);
 
+  Telemetry::instance().clear();
   Telemetry::instance().setEnabled(true);
   CounterSnapshot Before = Telemetry::instance().counters();
   Ciphertext Out = Boot.bootstrap(In, /*TargetNumQ=*/3);
   CounterSnapshot D = Telemetry::instance().counters().deltaSince(Before);
   Telemetry::instance().setEnabled(false);
+  // Every ModUp at l active primes processes ceil(l / alpha) grouped
+  // digits; its modup trace row carries l.
+  ASSERT_EQ(Telemetry::instance().droppedEventCount(), 0u);
+  uint64_t ModUpRows = 0, Digits = 0;
+  for (const auto &E : Telemetry::instance().eventsCopy()) {
+    if (E.Name != "modup")
+      continue;
+    ++ModUpRows;
+    Digits += Ctx.numDigits(static_cast<size_t>(E.Level));
+  }
   Telemetry::instance().clear();
 
   ASSERT_GT(D.get(Counter::HoistedKeySwitch), 0u);
@@ -290,8 +309,8 @@ TEST(HoistedRotationBootstrap, BabyStepsShareOneModUpPerBatch) {
   // Sharing: each CoeffToSlot/SlotToCoeff matvec hoists BS-1 >= 2
   // rotations into one decomposition.
   EXPECT_GT(D.get(Counter::HoistedKeySwitch), Batches);
-  // The digit counter still dominates key switches (golden invariant).
-  EXPECT_GT(D.get(Counter::KeySwitchDigit), D.get(Counter::KeySwitch));
+  EXPECT_EQ(ModUpRows, D.get(Counter::ModUp));
+  EXPECT_EQ(Digits, D.get(Counter::KeySwitchDigit));
 }
 
 } // namespace

@@ -158,18 +158,45 @@ TEST_F(KeyCacheTest, PinnedKeysAreNotEvicted) {
   EXPECT_EQ(Cache->stats().ResidentCount, 0u);
 }
 
+/// Keys are charged their exact size: ceil(l / alpha) hybrid digit parts,
+/// each a polynomial pair over l chain + alpha special moduli.
+TEST_F(KeyCacheTest, ChargesExactGroupedKeyBytes) {
+  size_t Alpha = Ctx->digitSize();
+  ASSERT_EQ(Alpha, 4u); // 12 chain primes
+  auto EvalKeyBytes = [] {
+    return ResourceGovernor::instance()
+        .stats()
+        .ChargedBytes[static_cast<size_t>(MemCategory::EvalKeys)];
+  };
+  int64_t Step = 1;
+  for (size_t MaxNumQ : {size_t(0), size_t(3), size_t(5), size_t(8)}) {
+    size_t NumQ = MaxNumQ == 0 ? Ctx->chainLength() : MaxNumQ;
+    size_t Expected = Ctx->numDigits(NumQ) * 2 * (NumQ + Alpha) *
+                      Ctx->bytesPerComponent();
+    size_t Before = EvalKeyBytes();
+    size_t ResidentBefore = Cache->stats().ResidentBytes;
+    auto Key = Cache->get(Cache->declareRotation(Step++, MaxNumQ));
+    ASSERT_TRUE(Key.ok()) << Key.status().message();
+    EXPECT_EQ((*Key)->byteSize(), Expected) << "truncation " << MaxNumQ;
+    EXPECT_EQ(EvalKeyBytes() - Before, Expected) << "truncation " << MaxNumQ;
+    EXPECT_EQ(Cache->stats().ResidentBytes - ResidentBefore, Expected);
+  }
+}
+
 TEST_F(KeyCacheTest, RedeclarationWidensTruncation) {
   uint64_t G = Cache->declareRotation(6, /*MaxNumQ=*/3);
   auto Narrow = Cache->get(G);
   ASSERT_TRUE(Narrow.ok());
-  EXPECT_EQ((*Narrow)->Parts.size(), 3u);
+  EXPECT_EQ((*Narrow)->numQ(), 3u);
+  EXPECT_EQ((*Narrow)->Parts.size(), Ctx->numDigits(3));
 
   // Widening to the full chain drops the narrower cached key; the next
   // get() builds the wide one.
   Cache->declareRotation(6, /*MaxNumQ=*/0);
   auto Wide = Cache->get(G);
   ASSERT_TRUE(Wide.ok());
-  EXPECT_EQ((*Wide)->Parts.size(), Ctx->chainLength());
+  EXPECT_EQ((*Wide)->numQ(), Ctx->chainLength());
+  EXPECT_EQ((*Wide)->Parts.size(), Ctx->numDigits(Ctx->chainLength()));
 }
 
 TEST_F(KeyCacheTest, GaloisRedeclarationWidensAndNeverNarrows) {
@@ -181,20 +208,20 @@ TEST_F(KeyCacheTest, GaloisRedeclarationWidensAndNeverNarrows) {
   Cache->declareGalois(G, /*MaxNumQ=*/3);
   auto Narrow = Cache->get(G);
   ASSERT_TRUE(Narrow.ok());
-  EXPECT_EQ((*Narrow)->Parts.size(), 3u);
+  EXPECT_EQ((*Narrow)->numQ(), 3u);
   *Narrow = nullptr; // unpin so the widening can drop it
 
   Cache->declareGalois(G, /*MaxNumQ=*/0);
   auto Wide = Cache->get(G);
   ASSERT_TRUE(Wide.ok());
-  EXPECT_EQ((*Wide)->Parts.size(), Ctx->chainLength());
+  EXPECT_EQ((*Wide)->numQ(), Ctx->chainLength());
   *Wide = nullptr;
 
   // A later narrower declaration keeps the full-depth key resident.
   Cache->declareGalois(G, /*MaxNumQ=*/2);
   auto Kept = Cache->get(G);
   ASSERT_TRUE(Kept.ok());
-  EXPECT_EQ((*Kept)->Parts.size(), Ctx->chainLength());
+  EXPECT_EQ((*Kept)->numQ(), Ctx->chainLength());
 }
 
 TEST_F(KeyCacheTest, BudgetRefusalIsResourceExhaustedNotACrash) {

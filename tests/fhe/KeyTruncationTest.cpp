@@ -45,13 +45,58 @@ struct Fixture : ::testing::Test {
 };
 
 TEST_F(Fixture, TruncatedKeyShrinksQuadratically) {
+  // 12 chain primes group into digits of alpha = 4.
+  ASSERT_EQ(Ctx->digitSize(), 4u);
   SwitchKey Full = Gen->makeRotationKey(1);
   SwitchKey Half = Gen->makeRotationKey(1, /*MaxNumQ=*/6);
-  EXPECT_EQ(Full.Parts.size(), 12u);
-  EXPECT_EQ(Half.Parts.size(), 6u);
-  // 6 digits over 7 moduli vs 12 digits over 13 moduli.
-  double Ratio = static_cast<double>(Half.byteSize()) / Full.byteSize();
-  EXPECT_NEAR(Ratio, 6.0 * 7 / (12.0 * 13), 0.01);
+  EXPECT_EQ(Full.Parts.size(), 3u);
+  EXPECT_EQ(Half.Parts.size(), 2u); // the second digit is partial
+  EXPECT_EQ(Full.numQ(), 12u);
+  EXPECT_EQ(Half.numQ(), 6u);
+  EXPECT_EQ(Full.Parts[0].first.numComponents(), 16u);
+  EXPECT_EQ(Half.Parts[0].first.numComponents(), 10u);
+  // 2 digits over 6 + 4 moduli vs 3 digits over 12 + 4 moduli, exactly.
+  size_t PolyBytes = Ctx->bytesPerComponent();
+  EXPECT_EQ(Full.byteSize(), 3 * 2 * 16 * PolyBytes);
+  EXPECT_EQ(Half.byteSize(), 2 * 2 * 10 * PolyBytes);
+}
+
+/// A key truncated to a level that splits a digit still switches every
+/// level at or below it, including the partial last digit, whether it is
+/// generated eagerly or materialized on first use by the key cache.
+TEST_F(Fixture, TruncatedKeyCoversPartialDigits) {
+  uint64_t Galois = galoisForRotation(Ctx->degree(), Ctx->slots(), 3);
+  Keys.Rotations.emplace(Galois, Gen->makeRotationKey(3, /*MaxNumQ=*/6));
+  ASSERT_EQ(Keys.Rotations.at(Galois).Parts.size(), 2u);
+  EvalKeys NoKeys;
+  RotationKeyCache Cache(*Ctx, *Gen);
+  ASSERT_EQ(Cache.declareRotation(3, /*MaxNumQ=*/6), Galois);
+  Evaluator LazyEval(*Ctx, *Enc, NoKeys, &Cache);
+
+  Rng R(9);
+  std::vector<double> X(Ctx->slots());
+  for (auto &V : X)
+    V = R.uniformReal(-1, 1);
+  for (const Evaluator *E : {Eval.get(), &LazyEval}) {
+    for (size_t NumQ = 1; NumQ <= 6; ++NumQ) {
+      Ciphertext Ct = Encrypt->encryptValues(*Enc, X, NumQ);
+      auto Checked = E->checkedRotate(Ct, 3);
+      ASSERT_TRUE(Checked.ok()) << Checked.status().message();
+      auto Out = Decrypt->decryptRealValues(*Enc, *Checked);
+      for (size_t I = 0; I < X.size(); ++I)
+        EXPECT_NEAR(Out[I], X[(I + 3) % Ctx->slots()], 1e-5)
+            << "numQ " << NumQ;
+    }
+    // One prime past the truncation is refused in-band.
+    Ciphertext Deep = Encrypt->encryptValues(*Enc, X, 7);
+    auto Refused = E->checkedRotate(Deep, 3);
+    ASSERT_FALSE(Refused.ok());
+    EXPECT_EQ(Refused.status().code(), ErrorCode::KeyMissing);
+  }
+  auto Cached = Cache.get(Galois);
+  ASSERT_TRUE(Cached.ok());
+  EXPECT_EQ((*Cached)->Parts.size(), 2u);
+  EXPECT_EQ((*Cached)->numQ(), 6u);
 }
 
 TEST_F(Fixture, TruncatedKeyRotatesCorrectlyBelowItsLevel) {

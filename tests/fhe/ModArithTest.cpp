@@ -95,6 +95,45 @@ TEST(ModArithTest, PrimitiveRootOrder) {
   }
 }
 
+/// The trial-division generator search findGenerator used before it
+/// factored P-1 with Pollard-Brent rho: the oracle for the same smallest
+/// generator (and hence bit-identical NTT tables).
+uint64_t trialDivisionGenerator(uint64_t P) {
+  uint64_t Phi = P - 1;
+  std::vector<uint64_t> Factors;
+  uint64_t M = Phi;
+  for (uint64_t F = 2; F * F <= M; ++F) {
+    if (M % F != 0)
+      continue;
+    Factors.push_back(F);
+    while (M % F == 0)
+      M /= F;
+  }
+  if (M > 1)
+    Factors.push_back(M);
+  for (uint64_t Candidate = 2; Candidate < P; ++Candidate) {
+    bool IsGenerator = true;
+    for (uint64_t F : Factors)
+      if (powMod(Candidate, Phi / F, P) == 1) {
+        IsGenerator = false;
+        break;
+      }
+    if (IsGenerator)
+      return Candidate;
+  }
+  return 0;
+}
+
+TEST(ModArithTest, GeneratorMatchesTrialDivisionOracle) {
+  // NTT primes of the widths the contexts use (q_0, rescale and special
+  // primes), for ring degrees 2^7 and 2^12.
+  for (uint64_t Factor : {uint64_t(1) << 8, uint64_t(1) << 13})
+    for (int Bits : {45, 55, 59, 60})
+      for (uint64_t P : generateNttPrimes(Bits, Factor, 4, {}))
+        EXPECT_EQ(findGenerator(P), trialDivisionGenerator(P))
+            << Bits << "-bit prime " << P;
+}
+
 TEST(ModArithTest, GeneratedPrimesAreNttFriendly) {
   const uint64_t Factor = 1 << 13;
   auto Primes = generateNttPrimes(45, Factor, 5, {});

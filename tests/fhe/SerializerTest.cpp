@@ -19,6 +19,7 @@
 #include "fhe/Encryptor.h"
 #include "fhe/Evaluator.h"
 #include "fhe/Serializer.h"
+#include "support/Crc32c.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
@@ -124,6 +125,61 @@ TEST_F(SerializerTest, KeyRoundTrips) {
   expectBitIdenticalRoundTrip(Relin, [&](const uint8_t *D, size_t N) {
     return wire::loadSwitchKey(*Ctx, D, N);
   });
+}
+
+/// Switch keys carry one part per hybrid digit (3 chain primes in digits
+/// of alpha = 2 here, the second partial), each over the chain plus the
+/// alpha special primes. Full and truncated keys round-trip; a part count
+/// that does not match the primes, or a part without its special
+/// components, is refused on save and on load.
+TEST_F(SerializerTest, GroupedSwitchKeyShapeIsValidated) {
+  ASSERT_EQ(Ctx->digitSize(), 2u);
+  SwitchKey Relin = Gen->makeRelinKey();
+  SwitchKey Truncated = KeyGenerator::truncateKey(Relin, 1);
+  ASSERT_EQ(Relin.Parts.size(), 2u);
+  ASSERT_EQ(Truncated.Parts.size(), 1u);
+  auto Load = [&](const uint8_t *D, size_t N) {
+    return wire::loadSwitchKey(*Ctx, D, N);
+  };
+  for (const SwitchKey *K : {&Relin, &Truncated}) {
+    expectBitIdenticalRoundTrip(*K, Load);
+    std::vector<uint8_t> Bytes;
+    ASSERT_TRUE(wire::save(*K, Bytes).ok());
+    auto Reloaded = Load(Bytes.data(), Bytes.size());
+    ASSERT_TRUE(Reloaded.ok()) << Reloaded.status().message();
+    EXPECT_EQ(Reloaded->Parts.size(), K->Parts.size());
+    EXPECT_EQ(Reloaded->numQ(), K->numQ());
+    EXPECT_EQ(Reloaded->Parts[0].second.numComponents(), K->numQ() + 2);
+  }
+
+  std::vector<uint8_t> Bytes;
+  SwitchKey Short = Relin;
+  Short.Parts.pop_back();
+  Status S = wire::save(Short, Bytes);
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.code(), ErrorCode::InvalidArgument);
+
+  // Forge the payload (re-fixing the CRC so the field validators run):
+  // u32 numParts, then per part poly B = u16 numQ | u8 hasSpecial | ...
+  ASSERT_TRUE(wire::save(Relin, Bytes).ok());
+  auto Forged = [&](size_t At, uint8_t Value) {
+    std::vector<uint8_t> B = Bytes;
+    B[wire::kHeaderBytes + At] = Value;
+    uint32_t Crc = crc32c(B.data() + wire::kHeaderBytes,
+                          B.size() - wire::kHeaderBytes);
+    for (int I = 0; I < 4; ++I)
+      B[wire::kHeaderBytes - 4 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+    return Load(B.data(), B.size()).status();
+  };
+  Status WrongParts = Forged(/*numParts=*/0, 1);
+  EXPECT_EQ(WrongParts.code(), ErrorCode::DataCorrupt);
+  EXPECT_NE(WrongParts.message().find("decomposition digits"),
+            std::string::npos)
+      << WrongParts.message();
+  Status NoSpecial = Forged(/*part 0 B hasSpecial=*/4 + 2, 0);
+  EXPECT_EQ(NoSpecial.code(), ErrorCode::DataCorrupt);
+  EXPECT_NE(NoSpecial.message().find("special prime"), std::string::npos)
+      << NoSpecial.message();
 }
 
 TEST_F(SerializerTest, EvalKeysRoundTrip) {

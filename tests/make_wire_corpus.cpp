@@ -240,10 +240,27 @@ int main(int argc, char **argv) {
   }
   {
     auto B = SwBlob;
-    B[kOffPayload] = 0xFF; // part count 255 > chain length
+    B[kOffPayload] = 0xFF; // part count 255 > the 2 digits of 3 primes
     refixCrc(B);
     Add("swk-bad-parts", "switchkey", "data-corrupt",
         "decomposition digits", B);
+  }
+  // Switch-key payload: u32 numParts | per part poly B, poly A, each
+  // u16 numQ | u8 hasSpecial | u8 ntt | residues. The 3 chain primes
+  // form 2 hybrid digits, so one part is a wrong count.
+  {
+    auto B = SwBlob;
+    B[kOffPayload] = 1;
+    refixCrc(B);
+    Add("swk-part-count", "switchkey", "data-corrupt",
+        "decomposition digits but", B);
+  }
+  {
+    auto B = SwBlob;
+    B[kOffPayload + 4 + 2] = 0; // part 0's B without special primes
+    refixCrc(B);
+    Add("swk-no-special", "switchkey", "data-corrupt",
+        "lacks the special prime", B);
   }
   // EvalKeys payload (rotations only): u8 0 | u8 0 | u32 numRot |
   // (u64 galois | body)*. The two bodies have identical shape, so

@@ -6,6 +6,7 @@
 #include "codegen/CkksExecutor.h"
 #include "driver/AceCompiler.h"
 #include "expert/ExpertBaseline.h"
+#include "fhe/Security.h"
 #include "nn/ModelZoo.h"
 #include "passes/CkksToPoly.h"
 #include "passes/Frontend.h"
@@ -108,6 +109,37 @@ TEST(PipelineTest, ParameterSelectionScalesWithDepth) {
   EXPECT_GE((*Shallow)->State.SecureRingDegree, 1024u);
   EXPECT_GE((*Deep)->State.SecureRingDegree,
             (*Shallow)->State.SecureRingDegree);
+}
+
+/// Secure parameter selection counts every special prime of hybrid key
+/// switching in log QP (log P = alpha * LogSpecialModulus) without
+/// raising any ring degree over the one-special-prime selection: the
+/// 3-prime linear model stays at N = 2^13 with alpha capped from 2 to 1,
+/// and the bootstrapped MLP keeps alpha = ceil(sqrt(49)) = 7 at 2^17.
+TEST(PipelineTest, SecureSelectionCountsEverySpecialPrime) {
+  air::CompileOptions Opt;
+  Opt.ToyParameters = false;
+  Opt.LogScale = 45;
+  Opt.LogFirstModulus = 55;
+  driver::AceCompiler Compiler(Opt);
+  struct Case {
+    onnx::Model Model;
+    int64_t Dim;
+    size_t RingDegree, ChainLength, Alpha;
+  } Cases[] = {{nn::buildLinearInfer(3), 84, 8192, 3, 1},
+               {nn::buildMlp({24, 16, 12, 6}, 5), 24, 131072, 49, 7}};
+  for (const Case &C : Cases) {
+    auto R = Compiler.compile(C.Model, randomInputs(C.Dim, 2, 3));
+    ASSERT_TRUE(R.ok()) << R.status().message();
+    const fhe::CkksParams &P = (*R)->State.SelectedParams;
+    EXPECT_EQ(P.RingDegree, C.RingDegree);
+    EXPECT_EQ(static_cast<size_t>(P.NumRescaleModuli) + 1, C.ChainLength);
+    EXPECT_EQ(fhe::keySwitchDigitSize(P), C.Alpha);
+    int LogQP = P.LogFirstModulus + P.NumRescaleModuli * P.LogScale +
+                static_cast<int>(C.Alpha) * P.LogSpecialModulus;
+    EXPECT_LE(LogQP, fhe::maxLogQ(P.RingDegree,
+                                  fhe::SecurityLevelKind::SL_128));
+  }
 }
 
 TEST(PipelineTest, ExpertOptionsDisableAutomation) {
